@@ -84,12 +84,11 @@ def load_extractor(checkpoint: Optional[ExtractorSource] = None, *,
     constructed model via ``model=``, or an existing extractor (returned
     as-is, ignoring the keyword knobs).
 
-    ``precision`` selects the inference path: ``"fp32"`` (default,
-    bit-exact autograd fast path), or ``"fp16"`` / ``"int8"`` for the
-    quantized no-grad engine — optionally with ``calibration`` sample
-    clips ``(N, T, C, H, W)`` to fix the int8 activation scales on real
-    footage (a seeded synthetic batch is used otherwise).  See
-    ``docs/performance.md``.
+    ``precision`` selects the no-grad engine's numeric mode: ``"fp32"``
+    (default), or ``"fp16"`` / ``"int8"`` quantized weights —
+    optionally with ``calibration`` sample clips ``(N, T, C, H, W)`` to
+    fix the int8 activation scales on real footage (a seeded synthetic
+    batch is used otherwise).  See ``docs/performance.md``.
     """
     if (checkpoint is None) == (model is None):
         raise ValueError("pass exactly one of checkpoint or model")

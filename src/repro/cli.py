@@ -58,8 +58,8 @@ _LEGACY_DEFAULTS = {"model": "vt-divided", "dim": 48, "depth": 2,
 
 def _add_precision_arg(parser: argparse.ArgumentParser) -> None:
     """``--precision`` for extraction commands (docs/performance.md):
-    fp32 is the exact autograd fast path; fp16/int8 route through the
-    fused quantized inference engine."""
+    video transformers run on the fused no-grad inference engine at
+    every precision; fp16/int8 store quantized weights."""
     from repro.core.pipeline import PRECISIONS
 
     parser.add_argument("--precision", choices=PRECISIONS,
@@ -729,12 +729,12 @@ def _check_inference_gates(args, report) -> int:
             failures.append(
                 "memoized sliding extraction is not bit-identical "
                 "to the naive path")
-    if args.min_int8_speedup > 0 and precision:
-        speedup = precision.get("int8_speedup", 0.0)
-        if speedup < args.min_int8_speedup:
+    if args.min_int8_compression > 0 and precision:
+        ratio = precision.get("int8_weight_compression", 0.0)
+        if ratio < args.min_int8_compression:
             failures.append(
-                f"int8 speedup {speedup:.2f}x < required "
-                f"{args.min_int8_speedup:.2f}x")
+                f"int8 weight compression {ratio:.2f}x < required "
+                f"{args.min_int8_compression:.2f}x")
     if args.max_f1_drop >= 0 and precision:
         for mode in ("fp16", "int8"):
             drop = precision.get(f"{mode}_macro_f1_drop_pts")
@@ -946,9 +946,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="inference workload: fail unless memoized "
                               "sliding extraction is at least this much "
                               "faster than naive AND bit-identical")
-    profile.add_argument("--min-int8-speedup", type=float, default=0.0,
+    profile.add_argument("--min-int8-compression", type=float,
+                         default=0.0,
                          help="inference workload: fail unless int8 "
-                              "extraction beats fp32 by this factor")
+                              "stores projection weights at least this "
+                              "many times smaller than fp32")
     profile.add_argument("--max-f1-drop", type=float, default=-1.0,
                          help="inference workload: fail when the int8 or "
                               "fp16 macro-F1 drop exceeds this many points")

@@ -81,13 +81,12 @@ def extractor_version(extractor: ScenarioExtractor) -> str:
     Beyond the weight/metadata fingerprint this includes the inference
     precision: an int8 extractor decodes from quantized logits, so its
     results must never alias an fp32 (or fp16) entry for the same clip
-    and weights.  fp32 keeps the bare fingerprint — existing caches
-    stay valid."""
-    version = model_fingerprint(extractor.model)
+    and weights.  fp32 is suffixed too: its logits come from the
+    no-grad engine and differ by ~1e-6 from the autograd forward that
+    wrote bare-fingerprint entries, so those are a miss, never a stale
+    hit."""
     precision = getattr(extractor, "precision", "fp32")
-    if precision != "fp32":
-        version = f"{version}-{precision}"
-    return version
+    return f"{model_fingerprint(extractor.model)}-{precision}"
 
 
 def cache_key(clip_hash: str, model_version: str, vocab_hash: str,

@@ -12,15 +12,17 @@ import numpy as np
 
 from repro.autograd import no_grad
 from repro.autograd.tensor import Tensor
+from repro.models.engine import InferenceEngine
+from repro.models.video_transformer import VideoTransformer
 from repro.nn.module import Module
 from repro.obs import get_logger, is_enabled, metrics, span
 from repro.sdl.codec import LabelCodec
 from repro.sdl.description import ScenarioDescription
 
-#: Inference precisions a :class:`ScenarioExtractor` accepts.  ``fp32``
-#: runs the autograd no-grad path (the bit-exactness reference);
-#: ``fp16``/``int8`` route through the fused quantized
-#: :class:`~repro.models.engine.InferenceEngine`.
+#: Inference precisions a :class:`ScenarioExtractor` accepts.  A
+#: ``VideoTransformer`` runs on the no-grad
+#: :class:`~repro.models.engine.InferenceEngine` at every precision
+#: (fp32 included); other models run the autograd forward, fp32 only.
 PRECISIONS = ("fp32", "fp16", "int8")
 
 #: Default capacity of the sliding-window frame memo (frames, LRU).
@@ -84,9 +86,7 @@ class ScenarioExtractor:
         self.calibration = calibration
         self.frame_memo_size = frame_memo_size
         self._engine = None
-        if precision != "fp32":
-            from repro.models.engine import InferenceEngine
-
+        if precision != "fp32" or isinstance(model, VideoTransformer):
             self._engine = InferenceEngine(model, precision,
                                            calibration=calibration)
         # Sliding-window overlap reuse: LRU of per-frame activations
@@ -117,6 +117,7 @@ class ScenarioExtractor:
                     for k, n in sizes.items()}
         if self._engine is not None:
             return self._engine.logits(clips, batch_size=batch_size)
+        # Models without an engine (the non-transformer baselines).
         self.model.eval()
         pieces: Dict[str, List[np.ndarray]] = {}
         with no_grad():
@@ -179,8 +180,6 @@ class ScenarioExtractor:
         quantized (e.g. the circuit breaker's frame-mlp fallback)
         downgrades to fp32 with a logged warning instead of failing —
         degraded service beats no service."""
-        from repro.models.video_transformer import VideoTransformer
-
         precision = self.precision
         if precision != "fp32" and not isinstance(model,
                                                   VideoTransformer):
@@ -340,12 +339,10 @@ class ScenarioExtractor:
         return results
 
     def _reuse_backend(self):
-        """Whatever computes per-frame features for this precision —
-        the quantized engine, or the model itself at fp32 — if the
-        attention mode supports frame reuse at all."""
-        target = self._engine if self._engine is not None else self.model
-        if getattr(target, "supports_frame_reuse", False):
-            return target
+        """The engine that computes per-frame features, if the model
+        has one and its attention mode supports frame reuse at all."""
+        if self._engine is not None and self._engine.supports_frame_reuse:
+            return self._engine
         return None
 
     def _extract_sliding_reuse(self, video: np.ndarray,
@@ -353,76 +350,78 @@ class ScenarioExtractor:
                                backend) -> List[ExtractionResult]:
         """Memoized sliding extraction: per-frame features from an LRU
         keyed on frame content hash; only novel frames run the
-        per-frame stage."""
+        per-frame stage.  Both stages are computed by ``backend`` (this
+        extractor's engine), called through the model's one-line
+        delegates of the same names so that ``perfbench/tracer.py``
+        can time them."""
         results: List[ExtractionResult] = []
         digests: Dict[int, bytes] = {}
         memo = self._frame_memo
         chunk = self.batch_size
-        self.model.eval()
-        with no_grad():
-            for i in range(0, len(starts), chunk):
-                started = time.perf_counter()
-                chunk_starts = starts[i:i + chunk]
-                # Unique frames this chunk needs, in first-use order.
-                needed: List[int] = []
-                seen = set()
-                for s in chunk_starts:
-                    for f in range(s, s + window):
-                        if f not in seen:
-                            seen.add(f)
-                            needed.append(f)
-                novel: List[int] = []
-                pending = set()
-                for f in needed:
-                    digest = digests.get(f)
-                    if digest is None:
-                        digest = _frame_digest(video[f])
-                        digests[f] = digest
-                    if digest in memo:
-                        memo.move_to_end(digest)
-                    elif digest not in pending:
-                        pending.add(digest)
-                        novel.append(f)
-                # A "hit" is any window-frame slot served without
-                # running the per-frame stage — whether the frame came
-                # from a previous chunk or is shared by several windows
-                # of this one.  hits + misses = windows × window.
-                hits = len(chunk_starts) * window - len(novel)
-                if novel:
-                    with span("pipeline/frame_features"):
-                        feats = backend.frame_features(video[novel])
-                    for f, feat in zip(novel, feats):
-                        memo[digests[f]] = feat
-                self._reuse_hits += hits
-                self._reuse_misses += len(novel)
-                metrics.counter("pipeline.reuse.frame_hits").inc(hits)
-                metrics.counter("pipeline.reuse.frame_misses") \
-                    .inc(len(novel))
-                sample = memo[digests[needed[0]]]
-                assembled = np.empty(
-                    (len(chunk_starts), window) + sample.shape,
-                    dtype=sample.dtype)
-                for wi, s in enumerate(chunk_starts):
-                    for t in range(window):
-                        assembled[wi, t] = memo[digests[s + t]]
-                with span("pipeline/forward"):
-                    logits = backend.head_logits_from_frame_features(
-                        assembled)
-                for start, r in zip(
-                        chunk_starts,
-                        self._finalize_batch(logits, window, started)):
-                    results.append(ExtractionResult(
-                        description=r.description,
-                        sentence=r.sentence,
-                        confidences=r.confidences,
-                        frame_range=(start, start + window),
-                        tag_confidences=r.tag_confidences,
-                    ))
-                # Evict only after assembly so a tiny capacity can
-                # never drop a frame the current chunk still needs.
-                floor = max(self.frame_memo_size, len(needed))
-                while len(memo) > floor:
-                    memo.popitem(last=False)
+        for i in range(0, len(starts), chunk):
+            started = time.perf_counter()
+            chunk_starts = starts[i:i + chunk]
+            # Unique frames this chunk needs, in first-use order.
+            needed: List[int] = []
+            seen = set()
+            for s in chunk_starts:
+                for f in range(s, s + window):
+                    if f not in seen:
+                        seen.add(f)
+                        needed.append(f)
+            novel: List[int] = []
+            pending = set()
+            for f in needed:
+                digest = digests.get(f)
+                if digest is None:
+                    digest = _frame_digest(video[f])
+                    digests[f] = digest
+                if digest in memo:
+                    memo.move_to_end(digest)
+                elif digest not in pending:
+                    pending.add(digest)
+                    novel.append(f)
+            # A "hit" is any window-frame slot served without
+            # running the per-frame stage — whether the frame came
+            # from a previous chunk or is shared by several windows
+            # of this one.  hits + misses = windows × window.
+            hits = len(chunk_starts) * window - len(novel)
+            if novel:
+                with span("pipeline/frame_features"):
+                    feats = self.model.frame_features(video[novel],
+                                                      backend)
+                for f, feat in zip(novel, feats):
+                    memo[digests[f]] = feat
+            self._reuse_hits += hits
+            self._reuse_misses += len(novel)
+            metrics.counter("pipeline.reuse.frame_hits").inc(hits)
+            metrics.counter("pipeline.reuse.frame_misses") \
+                .inc(len(novel))
+            sample = memo[digests[needed[0]]]
+            assembled = np.empty(
+                (len(chunk_starts), window) + sample.shape,
+                dtype=sample.dtype)
+            for wi, s in enumerate(chunk_starts):
+                for t in range(window):
+                    assembled[wi, t] = memo[digests[s + t]]
+            with span("pipeline/forward"):
+                logits = self.model.head_logits_from_frame_features(
+                    assembled, backend)
+            for start, r in zip(
+                    chunk_starts,
+                    self._finalize_batch(logits, window, started)):
+                results.append(ExtractionResult(
+                    description=r.description,
+                    sentence=r.sentence,
+                    confidences=r.confidences,
+                    frame_range=(start, start + window),
+                    tag_confidences=r.tag_confidences,
+                ))
+            # Evict only after assembly so a tiny capacity can
+            # never drop a frame the current chunk still needs.
+            floor = max(self.frame_memo_size, len(needed))
+            while len(memo) > floor:
+                memo.popitem(last=False)
         return results
 
     def reuse_stats(self) -> Dict[str, object]:

@@ -86,19 +86,24 @@ def estimate_flops(model: Module) -> float:
 def measure_throughput(model: Module, batch_size: int = 16,
                        repeats: int = 3,
                        seed: int = 0) -> Dict[str, float]:
-    """Measured inference throughput (clips/s) and per-clip latency."""
+    """Measured inference throughput (clips/s) and per-clip latency.
+
+    Times :meth:`ScenarioExtractor.logits` at fp32 — the forward that
+    extraction and serving run: the no-grad engine for a
+    ``VideoTransformer``, the autograd forward for the baselines."""
+    from repro.core.pipeline import ScenarioExtractor
+
     cfg: ModelConfig = model.config
     rng = np.random.default_rng(seed)
     clips = rng.random(
         (batch_size, cfg.frames, cfg.channels, cfg.height, cfg.width)
     ).astype(np.float32)
-    model.eval()
-    with no_grad():
-        model(Tensor(clips))  # warm-up
-        start = time.perf_counter()
-        for _ in range(repeats):
-            model(Tensor(clips))
-        elapsed = time.perf_counter() - start
+    extractor = ScenarioExtractor(model, batch_size=batch_size)
+    extractor.logits(clips)  # warm-up
+    start = time.perf_counter()
+    for _ in range(repeats):
+        extractor.logits(clips)
+    elapsed = time.perf_counter() - start
     per_clip = elapsed / (repeats * batch_size)
     return {
         "clips_per_s": 1.0 / per_clip,
@@ -419,12 +424,17 @@ def cache_reuse_curve(model: Module, corpus_size: int = 12,
 def measured_profile(model: Module, batch_size: int = 8,
                      repeats: int = 2, seed: int = 0,
                      autograd_ops: bool = False) -> Dict[str, object]:
-    """Measured per-stage forward breakdown via ``repro.obs`` spans.
+    """Measured per-stage breakdown of the *autograd* forward via
+    ``repro.obs`` spans.
 
     Complements :func:`estimate_flops` (analytic) and
     :func:`measure_throughput` (end-to-end measured) with the *measured
     split* across instrumented stages — e.g. spatial vs. temporal
-    attention of a divided video transformer.  Resets the global
+    attention of a divided video transformer.  The spans live in the
+    autograd ``Tensor`` forward that training runs; a
+    ``VideoTransformer`` is served by the no-grad engine instead, so
+    these timings (and ``ms_per_clip`` here) describe the training
+    forward, not the extraction one.  Resets the global
     telemetry state and leaves telemetry in the enabled/disabled state
     it found.  With ``autograd_ops=True`` per-op timers are patched in
     too (slower, but adds an op-level breakdown).
@@ -477,10 +487,10 @@ def precision_profile(model: Module, batch_size: int = 16,
     """Per-precision no-grad extraction latency for one model.
 
     Times :meth:`ScenarioExtractor.logits` end to end for each
-    requested precision (fp32 = autograd fast path, fp16/int8 = fused
-    quantized engine) on the same synthetic clips, and reports the
-    stored-weight footprint of the quantized projections.  Speedups are
-    relative to fp32.
+    requested precision on the same synthetic clips — all three run on
+    the no-grad :class:`~repro.models.engine.InferenceEngine`, so
+    speedups (relative to fp32) isolate what the precision itself buys
+    — and reports the stored-weight footprint of the projections.
     """
     from repro.core.pipeline import ScenarioExtractor
 

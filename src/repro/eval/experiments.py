@@ -176,10 +176,11 @@ def run_table4_efficiency(scale: ExperimentScale,
                           models: Sequence[str] = TABLE1_MODELS,
                           stage_profile: bool = False
                           ) -> Dict[str, Dict[str, float]]:
-    """Analytic GFLOPs + measured throughput per model; with
+    """Analytic GFLOPs + measured extraction throughput per model; with
     ``stage_profile=True`` each row also carries the measured per-stage
-    latency split from ``repro.obs`` spans (``"stages"`` sub-dict), so
-    the table reports measured numbers alongside the estimates."""
+    latency split of the autograd forward from ``repro.obs`` spans
+    (``"stages"`` sub-dict, total in ``autograd_ms_per_clip``), so the
+    table reports measured numbers alongside the estimates."""
     from repro.eval.efficiency import (
         estimate_flops,
         measure_throughput,
@@ -200,7 +201,7 @@ def run_table4_efficiency(scale: ExperimentScale,
                                        batch_size=scale.batch_size,
                                        repeats=1)
             results[name]["stages"] = profile["stages"]
-            results[name]["measured_ms_per_clip"] = profile["ms_per_clip"]
+            results[name]["autograd_ms_per_clip"] = profile["ms_per_clip"]
     return results
 
 

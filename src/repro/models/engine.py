@@ -1,15 +1,18 @@
-"""Quantized no-grad inference engine for video transformers.
+"""No-grad inference engine for video transformers.
 
-:class:`InferenceEngine` is a straight-line numpy forward pass over a
+:class:`InferenceEngine` is the straight-line numpy forward pass over a
 trained :class:`~repro.models.video_transformer.VideoTransformer` —
 no autograd ``Tensor`` wrappers, no graph bookkeeping, and fused
-in-place kernels (einsum LayerNorm, in-place softmax/GELU/residuals)
-— selected by ``precision`` on :class:`~repro.core.pipeline.\
-ScenarioExtractor`:
+in-place kernels (einsum LayerNorm, in-place softmax/GELU/residuals).
+:class:`~repro.core.pipeline.ScenarioExtractor` runs every
+``VideoTransformer`` through it, at the ``precision`` it was built
+with:
 
-- ``"fp32"`` — the fused engine at full precision (used internally for
-  calibration; the extractor's default fp32 path stays on the autograd
-  ``Tensor`` fast path, which is the bit-exactness reference).
+- ``"fp32"`` — full precision; the default inference path.  Sites hold
+  live references to the model's weight arrays, so in-place updates
+  (training steps, ``load_state_dict``) are seen by the next forward.
+  The autograd forward stays for training and as the test reference
+  (agreement to ~1e-6).
 - ``"fp16"`` — weights stored in half precision, widened to fp32 for
   BLAS.  Storage/rounding precision only: numpy has no half BLAS, so
   this halves weight memory at fp32 speed (see ``docs/performance.md``
@@ -20,13 +23,13 @@ ScenarioExtractor`:
   integer-valued float32 so the matmul runs on BLAS and is exact
   integer arithmetic at these accumulation depths.
 
-Static (rather than dynamic per-batch) activation scales are load-
-bearing: they make every quantized output independent of how rows are
-batched together, which the sliding-window overlap-reuse path relies
-on when it assembles per-frame activations computed across different
-windows.  The engine exposes the same frame-level reuse hooks as the
-model (``frame_features`` / ``head_logits_from_frame_features``), so
-reuse composes with any precision.
+Every kernel is row-independent — a clip's (or frame's) activations do
+not depend on what else is in the batch — which the sliding-window
+overlap-reuse path relies on when it assembles per-frame activations
+computed across different windows.  For int8 that takes *static*
+(rather than dynamic per-batch) activation scales.  The frame-level
+reuse hooks (``frame_features`` / ``head_logits_from_frame_features``)
+split the forward at its last window-independent stage.
 """
 
 from __future__ import annotations
@@ -137,10 +140,11 @@ class _Site:
 # -- fused kernels -------------------------------------------------------
 def _layer_norm(x: np.ndarray, w: np.ndarray, b: np.ndarray,
                 eps: float = 1e-5) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True)
-    c = x - mu
-    # einsum over the feature axis avoids materialising c**2.
-    var = np.einsum("...i,...i->...", c, c) / np.float32(x.shape[-1])
+    n = np.float32(x.shape[-1])
+    # einsum row sums: cheaper than ``mean``'s reduction on these short
+    # feature rows, and the variance avoids materialising c**2.
+    c = x - (np.einsum("...i->...", x) / n)[..., None]
+    var = np.einsum("...i,...i->...", c, c) / n
     inv = 1.0 / np.sqrt(var + np.float32(eps))
     c *= inv[..., None]
     c *= w
@@ -149,9 +153,21 @@ def _layer_norm(x: np.ndarray, w: np.ndarray, b: np.ndarray,
 
 
 def _softmax_inplace(scores: np.ndarray) -> np.ndarray:
-    scores -= scores.max(axis=-1, keepdims=True)
+    """Softmax over the last axis, in place.
+
+    Many short rows (8 temporal, 16 spatial keys) make numpy's per-row
+    reductions mostly overhead, so the row max is a running
+    ``np.maximum`` over key columns and the row sum an einsum.  Both
+    are row-independent: a row's result does not depend on its stack.
+    (The optional attention pool's one softmax per clip, over
+    frames × patches keys, pays one column pass per key.)
+    """
+    peak = scores[..., 0].copy()
+    for k in range(1, scores.shape[-1]):
+        np.maximum(peak, scores[..., k], out=peak)
+    scores -= peak[..., None]
     np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
+    scores /= np.einsum("...k->...", scores)[..., None]
     return scores
 
 
@@ -452,15 +468,25 @@ class InferenceEngine:
                 pieces.setdefault(key, []).append(value)
         return {k: np.concatenate(v) for k, v in pieces.items()}
 
-    # -- frame-level reuse hooks (mirror VideoTransformer's) ----------
+    # -- frame-level reuse hooks ----------------------------------------
     @property
     def supports_frame_reuse(self) -> bool:
+        """Whether per-frame activations are window-independent: patch
+        tokens under ``divided`` (all attention comes after), whole
+        spatial-encoder summaries under ``factorized``.  ``joint``
+        tubelets span frames, so there is nothing to memoize."""
         return self.attention in ("divided", "factorized")
+
+    def _require_frame_stage(self) -> None:
+        if not self.supports_frame_reuse:
+            raise ValueError(
+                f"{self.attention!r} attention has no per-frame stage")
 
     def frame_features(self, frames: np.ndarray) -> np.ndarray:
         """Window-independent per-frame features for ``(F, C, H, W)``
         frames: patch tokens ``(F, N, D)`` for divided attention,
         spatial-encoder summaries ``(F, D)`` for factorized."""
+        self._require_frame_stage()
         frames = np.ascontiguousarray(frames, dtype=np.float32)
         tokens = self._patch_tokens(frames[None])[0]
         if self.attention == "divided":
@@ -471,6 +497,7 @@ class InferenceEngine:
                                         ) -> Dict[str, np.ndarray]:
         """Window logits from stacked per-frame features ``(B, T, ...)``
         as produced by :meth:`frame_features`."""
+        self._require_frame_stage()
         if self.attention == "divided":
             return self._divided_from_tokens(feats)
         return self._factorized_from_summaries(feats)

@@ -179,7 +179,7 @@ class VideoTransformer(Module):
         ).reshape(batch, frames, dim)
         return self._temporal_from_summaries(summaries)
 
-    # -- shared stages (full forward + frame-reuse hooks) ---------------
+    # -- stages of the training forward ---------------------------------
     def _divided_from_tokens(self, tokens: Tensor) -> Tensor:
         """Divided-attention feature from patch tokens ``(B, T, N, D)``."""
         batch = tokens.shape[0]
@@ -202,9 +202,7 @@ class VideoTransformer(Module):
 
     def _spatial_summaries(self, tokens: Tensor) -> Tensor:
         """Factorized spatial stage: ``(rows, N, D)`` patch tokens →
-        ``(rows, D)`` per-frame summaries.  Row-independent — each
-        frame's summary does not depend on what else is in the batch —
-        which is what makes frame summaries reusable across windows."""
+        ``(rows, D)`` per-frame summaries."""
         from repro.autograd import functional as F
         rows = tokens.shape[0]
         cls_s = self.cls_spatial * Tensor(
@@ -229,53 +227,25 @@ class VideoTransformer(Module):
             y = self.temporal_encoder(y)
         return y[:, 0]
 
-    # -- frame-level reuse hooks ----------------------------------------
-    @property
-    def supports_frame_reuse(self) -> bool:
-        """Whether per-frame activations are window-independent.
+    # -- frame-level reuse stages (delegates) ---------------------------
+    def frame_features(self, frames: np.ndarray, engine) -> np.ndarray:
+        """``engine.frame_features(frames)`` — the per-frame stage of
+        the memoized sliding window, computed by ``engine``, an
+        :class:`~repro.models.engine.InferenceEngine` over this model.
 
-        True for ``divided`` (patch tokens are per-frame; positional
-        embeddings and all attention come after) and ``factorized``
-        (whole spatial-encoder summaries are per-frame).  ``joint``
-        tubelets span frames, so there is nothing window-independent to
-        memoize."""
-        return self.attention in ("divided", "factorized")
+        This and :meth:`head_logits_from_frame_features` are one-line
+        delegates with no logic of their own.  They exist only because
+        ``perfbench/tracer.py`` wraps these two names to time the
+        stages (``models.frame_features_ms_per_frame``,
+        ``models.head_ms_per_window``); once the tracer wraps the
+        engine's hooks instead, delete both and call the engine."""
+        return engine.frame_features(frames)
 
-    def frame_features(self, frames: np.ndarray) -> np.ndarray:
-        """Window-independent per-frame features for ``(F, C, H, W)``
-        frames — patch tokens ``(F, N, D)`` under divided attention,
-        spatial-encoder summaries ``(F, D)`` under factorized.
-
-        numpy in/out; run under ``no_grad`` by the caller.  Computing a
-        frame here and splicing it into any window is bit-identical to
-        the full forward, because :meth:`feature` runs these exact
-        stages and every one is row-independent."""
-        if not self.supports_frame_reuse:
-            raise ValueError(
-                f"{self.attention!r} attention has no per-frame stage")
-        video = Tensor(np.ascontiguousarray(frames)[None])
-        tokens = self.embed(video)  # (1, F, N, D)
-        if self.attention == "divided":
-            return tokens.data[0]
-        count, patches, dim = (tokens.shape[1], tokens.shape[2],
-                               tokens.shape[3])
-        return self._spatial_summaries(
-            tokens.reshape(count, patches, dim)).data
-
-    def head_logits_from_frame_features(self, feats: np.ndarray
+    def head_logits_from_frame_features(self, feats: np.ndarray, engine
                                         ) -> Dict[str, np.ndarray]:
-        """Head logits for windows assembled from memoized
-        :meth:`frame_features` output ``(B, T, ...)`` — the remaining,
-        window-dependent part of the forward pass."""
-        if not self.supports_frame_reuse:
-            raise ValueError(
-                f"{self.attention!r} attention has no per-frame stage")
-        x = Tensor(np.ascontiguousarray(feats))
-        if self.attention == "divided":
-            feature = self._divided_from_tokens(x)
-        else:
-            feature = self._temporal_from_summaries(x)
-        return {k: v.data for k, v in self.head(feature).items()}
+        """``engine.head_logits_from_frame_features(feats)`` — see
+        :meth:`frame_features` for why this delegate exists."""
+        return engine.head_logits_from_frame_features(feats)
 
     def forward(self, video: Tensor) -> Dict[str, Tensor]:
         return self.head(self.feature(video))

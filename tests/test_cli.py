@@ -165,3 +165,19 @@ class TestProfile:
         report = json.loads(capsys.readouterr().out)
         assert report["workload"] == "smoke"
         assert report["forward_stages"]
+
+    @pytest.mark.parametrize("compression,expected", [(3.0, 1), (3.74, 0)])
+    def test_int8_compression_gate(self, monkeypatch, capsys, compression,
+                                   expected):
+        from repro.obs import profiler
+
+        report = {"schema": "repro.profile/v1", "workload": "inference",
+                  "precision": {"int8_weight_compression": compression,
+                                "int8_speedup": 0.89}}
+        monkeypatch.setattr(profiler, "run_profile",
+                            lambda workload, seed=0: report)
+        code = main(["profile", "--workload", "inference", "--json",
+                     "--min-int8-compression", "3.5"])
+        assert code == expected
+        failed = "int8 weight compression 3.00x < required 3.50x"
+        assert (failed in capsys.readouterr().out) == bool(expected)

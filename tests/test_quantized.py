@@ -4,11 +4,24 @@ temporal-overlap reuse (docs/performance.md)."""
 import numpy as np
 import pytest
 
+from repro.autograd import no_grad
+from repro.autograd.tensor import Tensor
 from repro.core import ScenarioExtractor
-from repro.core.cache import extractor_version
+from repro.core.cache import (
+    ExtractionCache,
+    cache_key,
+    cached_extract_batch,
+    clip_content_hash,
+    extractor_version,
+    model_fingerprint,
+)
 from repro.data import SynthDriveConfig, generate_dataset
 from repro.models import ModelConfig, build_model
-from repro.models.engine import InferenceEngine
+from repro.models.engine import (
+    InferenceEngine,
+    _layer_norm,
+    _softmax_inplace,
+)
 from repro.nn.quant import (
     QMAX,
     activation_scale,
@@ -34,6 +47,14 @@ def _model(attention="divided", seed=0, **overrides):
 def _clips(n=6, seed=0, frames=4):
     rng = np.random.default_rng(seed)
     return rng.random((n, frames, 3, 16, 16)).astype(np.float32)
+
+
+def _autograd_logits(model, clips):
+    """The model's own autograd forward: the reference every engine
+    precision is measured against."""
+    model.eval()
+    with no_grad():
+        return {k: v.data for k, v in model(Tensor(clips)).items()}
 
 
 @pytest.fixture(scope="module")
@@ -100,18 +121,124 @@ class TestQuantPrimitives:
         assert np.abs(widened - weight).max() <= np.abs(weight).max() / 1024
 
 
+def _softmax64(x):
+    x = x.astype(np.float64)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _layer_norm64(x, w, b, eps=1e-5):
+    x = x.astype(np.float64)
+    mu = x.mean(axis=-1, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=-1, keepdims=True)
+    return (x - mu) / np.sqrt(var + eps) * w + b
+
+
+class TestEngineKernels:
+    # Many short rows (the column-reduction path) and few long ones.
+    SHAPES = [(64, 4, 8, 8), (32, 4, 16, 16), (2, 4, 9, 9), (3, 128)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_softmax_matches_float64(self, shape):
+        rng = np.random.default_rng(0)
+        scores = (rng.standard_normal(shape) * 4).astype(np.float32)
+        reference = _softmax64(scores)
+        out = _softmax_inplace(scores.copy())
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, reference, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(out.sum(axis=-1), 1.0, atol=1e-6)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_softmax_large_scores_stay_finite(self, shape):
+        rng = np.random.default_rng(1)
+        scores = rng.choice([-1e4, 1e4], size=shape).astype(np.float32)
+        scores += rng.standard_normal(shape).astype(np.float32)
+        out = _softmax_inplace(scores.copy())
+        assert np.isfinite(out).all()
+        np.testing.assert_allclose(out, _softmax64(scores), atol=1e-6)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_softmax_row_alone_equals_row_in_stack(self, shape):
+        rng = np.random.default_rng(2)
+        scores = rng.standard_normal(shape).astype(np.float32)
+        stacked = _softmax_inplace(scores.copy())
+        for i in (0, 1, shape[0] - 1):
+            alone = _softmax_inplace(scores[i:i + 1].copy())
+            np.testing.assert_array_equal(alone, stacked[i:i + 1])
+
+    def test_layer_norm_matches_float64(self):
+        rng = np.random.default_rng(3)
+        x = (rng.standard_normal((64, 8, 16, 48)) * 3 + 1) \
+            .astype(np.float32)
+        w = rng.standard_normal(48).astype(np.float32)
+        b = rng.standard_normal(48).astype(np.float32)
+        out = _layer_norm(x, w, b)
+        assert out.dtype == np.float32
+        np.testing.assert_allclose(out, _layer_norm64(x, w, b),
+                                   rtol=1e-6, atol=1e-6)
+
+    def test_layer_norm_row_alone_equals_row_in_stack(self):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((37, 17, 48)).astype(np.float32)
+        w = rng.standard_normal(48).astype(np.float32)
+        b = rng.standard_normal(48).astype(np.float32)
+        stacked = _layer_norm(x, w, b)
+        for i in (0, 1, 36):
+            np.testing.assert_array_equal(_layer_norm(x[i:i + 1], w, b),
+                                          stacked[i:i + 1])
+            np.testing.assert_array_equal(_layer_norm(x[i, 3], w, b),
+                                          stacked[i, 3])
+
+
 class TestInferenceEngine:
     @pytest.mark.parametrize("attention",
                              ["joint", "divided", "factorized"])
     def test_fp32_engine_matches_autograd_path(self, attention):
         model = _model(attention)
         clips = _clips()
-        engine = InferenceEngine(model, "fp32")
-        reference = ScenarioExtractor(model).logits(clips)
-        fast = engine.logits(clips)
+        reference = _autograd_logits(model, clips)
+        fast = ScenarioExtractor(model).logits(clips)
         for head in reference:
             np.testing.assert_allclose(fast[head], reference[head],
                                        atol=1e-4)
+
+    @pytest.mark.parametrize("attention", ["divided", "factorized"])
+    def test_memoized_engine_matches_autograd_per_window(self, attention):
+        model = _model(attention)
+        extractor = ScenarioExtractor(model, batch_size=3)
+        captured = []
+        finalize = extractor._finalize_batch
+
+        def spy(logits, frames, started):
+            captured.append(logits)
+            return finalize(logits, frames, started)
+
+        extractor._finalize_batch = spy
+        rng = np.random.default_rng(12)
+        video = rng.random((10, 3, 16, 16)).astype(np.float32)
+        extractor.extract_sliding(video, 4, 1, reuse=True)
+        assert extractor.reuse_stats()["frame_hits"] > 0
+        memoized = {k: np.concatenate([c[k] for c in captured])
+                    for k in captured[0]}
+        _, windows = ScenarioExtractor.window_clips(video, 4, 1)
+        for w, clip in enumerate(windows):
+            reference = _autograd_logits(model, clip[None])
+            for head in reference:
+                np.testing.assert_allclose(memoized[head][w:w + 1],
+                                           reference[head], atol=1e-4)
+
+    def test_load_state_dict_after_build_is_live(self):
+        model = _model(seed=0)
+        extractor = ScenarioExtractor(model)
+        clips = _clips()
+        before = extractor.logits(clips)
+        other = _model(seed=5)
+        model.load_state_dict(other.state_dict())
+        after = extractor.logits(clips)
+        expected = ScenarioExtractor(other).logits(clips)
+        for head in before:
+            np.testing.assert_array_equal(after[head], expected[head])
+            assert not np.array_equal(after[head], before[head])
 
     def test_quantized_logits_close_to_fp32(self):
         model = _model()
@@ -200,6 +327,14 @@ class TestSlidingReuse:
         assert not stats["supported"]
         assert stats["frame_hits"] == stats["frame_misses"] == 0
 
+    def test_joint_attention_has_no_frame_stage(self):
+        engine = InferenceEngine(_model("joint"), "fp32")
+        frames = _clips(1)[0]
+        with pytest.raises(ValueError):
+            engine.frame_features(frames)
+        with pytest.raises(ValueError):
+            engine.head_logits_from_frame_features(frames[None])
+
     def test_reuse_accounting(self):
         extractor = ScenarioExtractor(_model("factorized"))
         rng = np.random.default_rng(7)
@@ -262,7 +397,27 @@ class TestPrecisionPlumbing:
                                                    precision="fp16"))
         assert len({fp32, int8, fp16}) == 3
         assert int8.endswith("-int8")
-        assert not fp32.endswith("fp32")  # seed caches stay valid
+        # fp32 runs on the engine, whose logits differ from the
+        # autograd forward that wrote bare-fingerprint entries.
+        assert fp32 == f"{model_fingerprint(model)}-fp32"
+
+    def test_bare_fingerprint_entry_is_not_served(self):
+        model = _model()
+        extractor = ScenarioExtractor(model)
+        clips = _clips(2)
+        truth = extractor.extract_batch(clips)
+        # An entry for clip 0 as an autograd-fp32 extractor keyed it:
+        # bare fingerprint, and a result that is not the engine's.
+        cache = ExtractionCache()
+        bare = cache_key(clip_content_hash(clips[0]),
+                         model_fingerprint(model),
+                         extractor.codec.vocab.content_hash,
+                         extractor.threshold)
+        cache.put(bare, truth[1])
+        served = cached_extract_batch(extractor, clips, cache)
+        assert cache.hits == 0
+        assert truth[0].confidences != truth[1].confidences
+        assert served[0].confidences == truth[0].confidences
 
     def test_clone_preserves_precision(self):
         extractor = ScenarioExtractor(_model(), precision="int8",
